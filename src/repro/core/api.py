@@ -225,6 +225,12 @@ def validate_request(request: SolveRequest) -> None:
             f"unknown method {request.method!r} for {request.operator}",
             methods,
         )
+    if request.grid is not None and not isinstance(request.grid, ProcessGrid):
+        raise _invalid(
+            "grid",
+            f"must be a ProcessGrid, e.g. ProcessGrid({request.grid!r}); "
+            f"got {type(request.grid).__name__} {request.grid!r}",
+        )
     if request.backend is not None:
         if request.backend not in _BACKENDS:
             raise _invalid(

@@ -232,7 +232,6 @@ class DistributedGCRDDSolver:
         use_split: bool | None = None,
     ):
         from repro.dirac.base import PERIODIC
-        from repro.dirac.wilson import WilsonCloverOperator
         from repro.multigpu.ddop import DistributedOperator
         from repro.multigpu.rank_op import _resolve_schedule
         from repro.multigpu.space import DistributedSpace
@@ -263,15 +262,9 @@ class DistributedGCRDDSolver:
         self.dist_op.schedule = self.schedule
         self.partition = self.dist_op.partition
         self.space = DistributedSpace(self.partition, site_axes=2)
-        # Per-rank Schwarz blocks: the Dirichlet-cut serial operator
-        # restricted to each rank's (unpadded) sub-domain.
-        serial = WilsonCloverOperator(
-            gauge, mass=mass, csw=csw, boundary=boundary, kernel=kernel
-        )
-        self._blocks = [
-            serial.restrict_to_block(self.partition, rank)
-            for rank in range(self.partition.n_ranks)
-        ]
+        # Per-rank Schwarz blocks: the Dirichlet-cut block operators the
+        # split schedule's interior kernel also runs.
+        self._blocks = self.dist_op.block_ops
         self._block_space = ArraySpace(site_axes=2)
         self._batched_block_space = BatchedArraySpace(site_axes=2)
 

@@ -59,7 +59,6 @@ class _RankTask:
     operator: str
     gauge_block: np.ndarray       # unpadded local links, lead=1
     clover_block: np.ndarray | None
-    block_op: object              # Dirichlet-cut Schwarz block operator
     mass: float
     csw: float
     boundary: BoundarySpec
@@ -110,7 +109,9 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
         if batched
         else ArraySpace(site_axes=site_axes)
     )
-    block_op = task.block_op
+    # The Schwarz block is the rank operator's interior-kernel operator:
+    # the Dirichlet-cut block built once from the padded fields.
+    block_op = rank_op.block_op
 
     if task.precond == "none":
         preconditioner = None
@@ -193,8 +194,7 @@ class SPMDGCRDDSolver:
         use_split: bool | None = None,
     ):
         from repro.dirac.clover import build_clover_field
-        from repro.dirac.staggered import NaiveStaggeredOperator
-        from repro.dirac.wilson import WilsonCloverOperator
+        from repro.kernels import resolve_kernel
         from repro.multigpu.rank_op import _resolve_schedule
 
         if operator not in OPERATORS:
@@ -225,36 +225,24 @@ class SPMDGCRDDSolver:
         self.partition = BlockPartition(gauge.geometry, grid)
         self.site_axes = 2 if operator == "wilson_clover" else 1
 
-        # Parent-built shared pieces.  The gauge field is scattered here;
-        # its ghost exchange is part of each rank's program.  The Schwarz
-        # blocks are the same Dirichlet-cut operators the global-view
-        # solver builds — bit-parity requires identical block systems.
+        # Parent-built shared pieces: the gauge field is scattered here;
+        # its ghost exchange is part of each rank's program, which also
+        # builds the rank's Schwarz block from the exchanged fields.
         self._gauge_blocks = self.partition.split(gauge.data, lead=1)
-        if operator == "wilson_clover":
-            serial = WilsonCloverOperator(
-                gauge, mass=mass, csw=csw, boundary=self.boundary,
-                kernel=kernel,
-            )
-            # The clover field is built globally (its leaves read corner
-            # sites ghost exchange never fills) and scattered per rank.
-            self._clover_blocks = (
-                self.partition.split(build_clover_field(gauge, csw))
-                if csw != 0.0
-                else [None] * self.partition.n_ranks
-            )
-        else:
-            serial = NaiveStaggeredOperator(
-                gauge, mass=mass, boundary=self.boundary, kernel=kernel
-            )
-            self._clover_blocks = [None] * self.partition.n_ranks
+        # The clover field is built globally (its leaves read corner
+        # sites ghost exchange never fills) and scattered per rank.
+        self._clover_blocks = (
+            self.partition.split(build_clover_field(gauge, csw))
+            if operator == "wilson_clover" and csw != 0.0
+            else [None] * self.partition.n_ranks
+        )
         # The *resolved* tier name (never "auto"): rank programs, the
         # extras dict and bench config labels all report the backend
         # that actually ran.
-        self.kernel = serial.kernel
-        self._blocks = [
-            serial.restrict_to_block(self.partition, rank)
-            for rank in range(self.partition.n_ranks)
-        ]
+        self.kernel = resolve_kernel(
+            kernel,
+            operator="wilson" if operator == "wilson_clover" else "staggered",
+        ).name
 
     # ------------------------------------------------------------------
     def solve(
@@ -292,7 +280,6 @@ class SPMDGCRDDSolver:
                 operator=self.operator,
                 gauge_block=self._gauge_blocks[rank],
                 clover_block=self._clover_blocks[rank],
-                block_op=self._blocks[rank],
                 mass=self.mass,
                 csw=self.csw,
                 boundary=self.boundary,

@@ -27,7 +27,7 @@ from repro.dirac.base import (
 from repro.gauge.asqtad import AsqtadLinks, build_asqtad_links
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.lattice.geometry import Geometry
+from repro.lattice.geometry import Geometry, axis_of_mu
 from repro.util.counters import record, record_operator, timed
 
 
@@ -83,6 +83,8 @@ class _StaggeredBase(LatticeOperator):
         self._fat_dag_cols: np.ndarray | None = None
         self._long_cols: np.ndarray | None = None
         self._long_dag_cols: np.ndarray | None = None
+        # Exterior-kernel links and phases of a padded operator, per mu.
+        self._ghost_links: dict = {}
 
     def _caches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
         if self._fat_cols is None:
@@ -166,6 +168,84 @@ class _StaggeredBase(LatticeOperator):
         """The hopping part, ``-1/2 D_IS x``."""
         return -0.5 * self._dslash(x)
 
+    def ghost_hopping(
+        self, mu: int, lo: np.ndarray, hi: np.ndarray,
+        sites: tuple[slice, ...],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The exterior kernel of Sec. 6.2: ``-1/2 D_IS`` restricted to
+        the hops sourced from the ghost slabs of direction ``mu``.
+
+        ``self`` is a rank's padded operator and ``sites`` its slicing of
+        the local block (ghost depth :attr:`ghost_depth` on each side of
+        ``mu``); ``lo``/``hi`` are the ghost slabs below/above the block.
+        Returns the contributions to the block's first and last
+        ``ghost_depth`` layers: backward hops from ``lo`` through the
+        ghost-layer daggered links, forward hops from ``hi`` through the
+        face-layer links (fat one hop deep, long three).  The arithmetic
+        follows :meth:`_dslash_numpy` op for op, so on each face the sum
+        is bitwise what the full padded stencil computes on a field that
+        is zero outside those slabs.  Only an asqtad block thinner than
+        twice the Naik depth, whose two faces share layers, sums a site's
+        hops in another order (to rounding).
+        """
+        with timed(f"{self.name}_dslash", kind="dslash"):
+            lead = self.field_lead(lo)
+            batched = bool(lead)
+            pre = (slice(None),) * (lead + axis_of_mu(mu))
+            first = pre + (slice(0, 1),)
+            last = pre + (slice(self.ghost_depth - 1, self.ghost_depth),)
+            links = self._ghost_link_slabs(mu, sites)
+            dtype = np.result_type(lo.dtype, self.fat.dtype)
+            hop_lo = np.zeros(lo.shape, dtype)
+            hop_hi = np.zeros(hi.shape, dtype)
+            hop_hi[last] += link_apply_cols(
+                links["fat"], hi[first], batched=batched
+            )
+            hop_lo[first] -= link_apply_cols(
+                links["fat_dag"], lo[last], batched=batched
+            )
+            if self.long is not None:
+                # Naik hops from all three ghost layers land on all three
+                # face layers.
+                hop_hi += link_apply_cols(links["long"], hi, batched=batched)
+                hop_lo -= link_apply_cols(
+                    links["long_dag"], lo, batched=batched
+                )
+            return (
+                -0.5 * (links["eta_lo"] * hop_lo),
+                -0.5 * (links["eta_hi"] * hop_hi),
+            )
+
+    def _ghost_link_slabs(self, mu: int, sites: tuple[slice, ...]) -> dict:
+        """The link layers and phases :meth:`ghost_hopping` reads, sliced
+        from the padded fields in the column layouts of :meth:`_caches`
+        (which is not built)."""
+        slabs = self._ghost_links.get(mu)
+        if slabs is None:
+            d = self.ghost_depth
+            ax = axis_of_mu(mu)
+            lo, hi = sites[ax].start, sites[ax].stop
+
+            def layers(field, start, stop):
+                sl = list(sites)
+                sl[ax] = slice(start, stop)
+                return field[mu][tuple(sl)]
+
+            def cols(u):
+                return np.ascontiguousarray(np.swapaxes(u, -1, -2))
+
+            slabs = {
+                "fat": cols(layers(self.fat, hi - 1, hi)),
+                "fat_dag": np.conj(layers(self.fat, lo - 1, lo)),
+                "eta_lo": layers(self.eta, lo, lo + d)[..., None],
+                "eta_hi": layers(self.eta, hi - d, hi)[..., None],
+            }
+            if self.long is not None:
+                slabs["long"] = cols(layers(self.long, hi - d, hi))
+                slabs["long_dag"] = np.conj(layers(self.long, lo - d, lo))
+            self._ghost_links[mu] = slabs
+        return slabs
+
     @property
     def dslash_flops_per_site(self) -> int:
         return (
@@ -175,26 +255,37 @@ class _StaggeredBase(LatticeOperator):
         )
 
     def restrict_to_block(self, partition, rank: int):
-        """Dirichlet-cut block operator for the Schwarz preconditioner.
+        """Dirichlet-cut block operator for the Schwarz preconditioner."""
+        return self.restrict(
+            partition.slices(rank), partition.grid.partitioned_dims
+        )
 
-        The fat/long links are sliced from the global fields; the block's
-        global origin keeps the Kogut-Susskind phases consistent.
+    def restrict(self, sites: tuple[slice, ...], cut: tuple[int, ...]):
+        """The operator on the sub-lattice ``sites`` (a slicing of the
+        site axes) with the directions ``cut`` set to zero boundaries.
+
+        The fat/long links are sliced from this operator's fields; the
+        sub-lattice's global origin keeps the Kogut-Susskind phases
+        consistent.
         """
-        sl = partition.slices(rank, lead=1)
+        sl = (slice(None),) + sites
         fat = np.ascontiguousarray(self.fat[sl])
         long_links = (
             np.ascontiguousarray(self.long[sl]) if self.long is not None else None
         )
-        local_bc = self.boundary.with_dirichlet(partition.grid.partitioned_dims)
+        origin = tuple(
+            self.origin[mu] + (sites[axis_of_mu(mu)].start or 0)
+            for mu in range(4)
+        )
         out = _StaggeredBase.__new__(type(self))
         _StaggeredBase.__init__(
             out,
-            partition.local_geometry,
+            Geometry(tuple(reversed(fat.shape[1:5]))),
             fat,
             long_links,
             self.mass,
-            local_bc,
-            origin=partition.origin(rank),
+            self.boundary.with_dirichlet(cut),
+            origin=origin,
             kernel=self.kernel,
         )
         return out

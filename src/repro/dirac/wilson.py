@@ -46,7 +46,7 @@ from repro.dirac.base import (
 from repro.dirac.clover import apply_clover, build_clover_field
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.lattice.geometry import axis_of_mu
+from repro.lattice.geometry import Geometry, axis_of_mu
 from repro.linalg import su3
 from repro.linalg.gamma import (
     GAMMA5,
@@ -191,6 +191,8 @@ class WilsonCloverOperator(LatticeOperator):
         self._link_stack: np.ndarray | None = None
         self._clover_cm: np.ndarray | None = None
         self._scratch: dict = {}
+        # Exterior-kernel links of a padded operator, per (mu, batched).
+        self._ghost_links: dict = {}
 
     @property
     def diagonal_coefficient(self) -> float:
@@ -494,6 +496,117 @@ class WilsonCloverOperator(LatticeOperator):
         """The hopping part, ``-1/2 D x``."""
         return -0.5 * self._dslash(x)
 
+    def ghost_hopping(
+        self, mu: int, lo: np.ndarray, hi: np.ndarray,
+        sites: tuple[slice, ...],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The exterior kernel of Sec. 6.2: ``-1/2 D`` restricted to the
+        hops sourced from the two ghost layers of direction ``mu``.
+
+        ``self`` is a rank's padded operator and ``sites`` its slicing of
+        the local block (one ghost layer on each side of ``mu``);
+        ``lo``/``hi`` are the ghost layers below/above the block.
+        Returns the contributions to the block's first layer (the
+        backward hop from ``lo``, through the ghost-layer ``U_mu^+``) and
+        to its last layer (the forward hop from ``hi``, through the
+        face-layer ``U_mu``).  The arithmetic is the NumPy tier's, op for
+        op — :meth:`_dslash_projected` single-RHS,
+        :meth:`_batched_hopping` batched — so each value is bitwise what
+        the full padded stencil computes on a field that is zero outside
+        those ghost layers, whichever tier runs the interior kernel.
+        """
+        with timed("wilson_dslash", kind="dslash"):
+            if self.field_lead(lo):
+                return self._ghost_hopping_batched(mu, lo, hi, sites)
+            u_fwd, udag_bwd = self._ghost_link_slabs(mu, sites, batched=False)
+            hops = []
+            for ghost, tab, cols in (
+                (lo, self._tab_bwd[mu], udag_bwd),
+                (hi, self._tab_fwd[mu], u_fwd),
+            ):
+                xu = ghost[..., :2, :]
+                h = np.empty_like(xu)
+                uh = np.empty_like(xu)
+                tmp = np.empty_like(xu)
+                np.multiply(
+                    tab.project_coeff, ghost[..., tab.lower, :], out=tmp
+                )
+                np.add(xu, tmp, out=h)
+                link_apply_cols(cols, h, out=uh, tmp=tmp)
+                np.multiply(tab.recon_coeff, uh[..., tab.source, :], out=tmp)
+                hop = np.empty_like(ghost)
+                hop[..., :2, :] = uh
+                hop[..., 2:, :] = tmp
+                hops.append(-0.5 * hop)
+            return hops[0], hops[1]
+
+    def _ghost_hopping_batched(
+        self, mu: int, lo: np.ndarray, hi: np.ndarray,
+        sites: tuple[slice, ...],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`ghost_hopping`: the projections, the GEMM on
+        the folded (``-1/2``-scaled) links and the reconstruction of
+        :meth:`_batched_hopping`, on the ghost layers only."""
+        fwd_links, bwd_links = self._ghost_link_slabs(mu, sites, batched=True)
+        # Both orientations project with the forward table, the backward
+        # one as x_u - p (the shared phase product of _batched_hopping).
+        tab = self._tab_fwd[mu]
+        hops = []
+        for ghost, links, recon, project in (
+            (lo, bwd_links, self._tab_bwd[mu], np.subtract),
+            (hi, fwd_links, tab, np.add),
+        ):
+            gt = _to_batch_last(ghost)
+            lat, nb = gt.shape[:4], gt.shape[-1]
+            p = np.empty(lat + (3, 2, nb), gt.dtype)
+            np.multiply(tab.project_coeff, gt[..., tab.lower, :], out=p)
+            h = np.empty(lat + (3, 2 * nb), gt.dtype)
+            project(gt[..., :2, :], p, out=h.reshape(p.shape))
+            uh = np.matmul(links, h, out=np.empty_like(h)).reshape(p.shape)
+            hop = np.empty_like(gt)
+            hop[..., :2, :] = uh
+            np.multiply(
+                recon.recon_coeff, uh[..., recon.source, :],
+                out=hop[..., 2:, :],
+            )
+            hops.append(_from_batch_last(hop))
+        return hops[0], hops[1]
+
+    def _ghost_link_slabs(
+        self, mu: int, sites: tuple[slice, ...], batched: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The two link layers :meth:`ghost_hopping` reads: ``U_mu`` on
+        the last block layer and ``U_mu^+`` on the lower ghost layer.
+
+        Single-RHS they are sliced from the column layouts of
+        :meth:`_link_caches`; batched, from the folded stack of
+        :meth:`_batched_link_stack` (partitioned directions are periodic
+        on a padded operator, so no boundary factor is folded in).
+        Neither full-volume cache is built.
+        """
+        key = (mu, batched)
+        slabs = self._ghost_links.get(key)
+        if slabs is None:
+            ax = axis_of_mu(mu)
+
+            def layer(index):
+                sl = list(sites)
+                sl[ax] = slice(index, index + 1)
+                return self.gauge.data[mu][tuple(sl)]
+
+            face = layer(sites[ax].stop - 1)
+            ghost = layer(sites[ax].start - 1)
+            if batched:
+                slabs = (
+                    -0.5 * face,
+                    -0.5 * np.conj(np.swapaxes(ghost, -1, -2)),
+                )
+            else:
+                slabs = (np.swapaxes(face, -1, -2), np.conj(ghost))
+            slabs = tuple(np.ascontiguousarray(s) for s in slabs)
+            self._ghost_links[key] = slabs
+        return slabs
+
     # ------------------------------------------------------------------
     def with_boundary(self, boundary: BoundarySpec) -> "WilsonCloverOperator":
         link_cache = None
@@ -511,28 +624,31 @@ class WilsonCloverOperator(LatticeOperator):
 
     def restrict_to_block(self, partition, rank: int) -> "WilsonCloverOperator":
         """The Dirichlet-cut operator on one rank's sub-domain — the block
-        system of the additive Schwarz preconditioner (Sec. 8.1).
-
-        The local gauge links (and the site-diagonal clover field, which is
-        unaffected by the cut) are sliced from the global fields; the
-        partitioned directions get zero boundaries, the rest keep the
-        global condition.  Link caches are rebuilt for the sliced gauge.
-        """
-        local_gauge = GaugeField(
-            partition.local_geometry,
-            np.ascontiguousarray(self.gauge.data[partition.slices(rank, lead=1)]),
+        system of the additive Schwarz preconditioner (Sec. 8.1)."""
+        return self.restrict(
+            partition.slices(rank), partition.grid.partitioned_dims
         )
+
+    def restrict(
+        self, sites: tuple[slice, ...], cut: tuple[int, ...]
+    ) -> "WilsonCloverOperator":
+        """The operator on the sub-lattice ``sites`` (a slicing of the
+        site axes) with the directions ``cut`` set to zero boundaries.
+
+        The gauge links (and the site-diagonal clover field, which is
+        unaffected by the cut) are sliced from this operator's fields;
+        the other directions keep their condition.  Link caches are
+        rebuilt for the sliced gauge.
+        """
+        links = np.ascontiguousarray(self.gauge.data[(slice(None),) + sites])
         local_clover = None
         if self.clover is not None:
-            local_clover = np.ascontiguousarray(
-                self.clover[partition.slices(rank)]
-            )
-        local_bc = self.boundary.with_dirichlet(partition.grid.partitioned_dims)
+            local_clover = np.ascontiguousarray(self.clover[sites])
         return WilsonCloverOperator(
-            local_gauge,
+            GaugeField(Geometry(tuple(reversed(links.shape[1:5]))), links),
             mass=self.mass,
             csw=self.csw,
-            boundary=local_bc,
+            boundary=self.boundary.with_dirichlet(cut),
             clover=local_clover,
             kernel=self.kernel,
         )

@@ -57,8 +57,9 @@ class KernelCapabilities:
         Accepts fields with a leading multi-RHS batch axis.
     split:
         Valid under the interior/exterior split schedule (the kernel
-        must honor ``"zero"`` boundary cuts exactly, so ghost-zeroed and
-        ghost-only applications sum to the fused result).
+        must honor ``"zero"`` boundary cuts exactly: the interior kernel
+        runs it on the Dirichlet-cut block, and the NumPy exterior
+        kernels add the ghost hops onto that result).
     dtypes:
         Complex dtype names the kernels accept (e.g. ``"complex128"``).
     """

@@ -2,14 +2,17 @@
 
 A :class:`DistributedOperator` owns one *local* operator per virtual rank,
 built on the padded (ghost-zone) sub-lattice, and applies the global
-operator by: halo exchange -> per-rank stencil on the padded array ->
-interior extraction.  Two execution paths are provided:
+operator after a halo exchange.  Two execution paths are provided:
 
-* ``apply`` — the fused path (one local stencil per rank);
+* ``apply`` — the fused path: one local stencil per rank on the padded
+  array, interior extracted;
 * ``apply_split`` — the *interior/exterior kernel* decomposition of
-  Sec. 6.2: an interior kernel that sees zeroed ghosts (all the work that
-  can overlap communication) plus one exterior kernel per partitioned
-  dimension that adds exactly the ghost-zone contributions.  By linearity
+  Sec. 6.2: an interior kernel running each rank's Dirichlet-cut block
+  operator (:attr:`~DistributedOperator.block_ops`) on the unpadded local
+  field — all the work that can overlap communication — plus one
+  exterior kernel per partitioned dimension that adds the hops from that
+  dimension's ghost slabs onto the block faces, O(surface) work.  Both
+  terms are linear in the field and together are the padded stencil, so
   the two paths agree to rounding; tests assert both equal the serial
   operator.
 
@@ -27,6 +30,7 @@ beginning of a solve".
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +75,15 @@ class DistributedOperator:
         # schedules, and the one whose spans a trace should show) instead
         # of the fused single-stencil path.  Both agree to rounding.
         self.schedule = "fused"
+
+    @cached_property
+    def block_ops(self) -> list[LatticeOperator]:
+        """Per-rank interior-kernel operators of the split path: each
+        padded local operator restricted to its block and cut at the
+        partitioned faces (built on first use)."""
+        sites = self.exchanger.interior_slices()
+        cut = self.exchanger.partitioned_dims
+        return [op.restrict(sites, cut) for op in self.local_ops]
 
     @property
     def use_split(self) -> bool:
@@ -279,19 +292,23 @@ class DistributedOperator:
     def apply_split(self, xs: list[np.ndarray]) -> list[np.ndarray]:
         """Interior/exterior kernel path (Sec. 6.2).
 
-        The interior kernel computes every contribution available without
-        ghost data (including the diagonal/clover terms); each partitioned
-        dimension's exterior kernel then adds the hopping contributions
-        sourced from that dimension's ghost zones.  Sites on corners
-        receive updates from several exterior kernels, reproducing the
-        data dependency the paper serializes the exterior kernels over.
+        The interior kernel runs each rank's block operator on its local
+        field: every contribution available without ghost data (including
+        the diagonal/clover terms).  Each partitioned dimension's exterior
+        kernel then adds the hops sourced from that dimension's ghost
+        slabs onto the faces they border.  Sites on corners receive
+        updates from several exterior kernels, reproducing the data
+        dependency the paper serializes the exterior kernels over.
         """
         lead = self._field_lead(xs)
         self._record(batch=xs[0].shape[0] if lead else 1)
         padded = self.exchanger.exchange_spinor(xs, lead=lead)
+        layout = self.exchanger.layout
         return [
-            split_apply(op, self.exchanger, pad, lead, rank)
-            for rank, (op, pad) in enumerate(zip(self.local_ops, padded))
+            split_apply(op, block, layout, x, pad, lead, rank)
+            for rank, (op, block, x, pad) in enumerate(
+                zip(self.local_ops, self.block_ops, xs, padded)
+            )
         ]
 
     def __call__(self, xs: list[np.ndarray]) -> list[np.ndarray]:

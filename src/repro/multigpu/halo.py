@@ -197,13 +197,3 @@ class HaloExchanger:
     # ------------------------------------------------------------------
     def extract_interior(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
         return self.layout.extract_interior(padded, lead)
-
-    def zero_ghosts(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
-        """Copy of a padded array with every ghost slab zeroed (the input
-        the *interior kernel* effectively sees)."""
-        return self.layout.zero_ghosts(padded, lead)
-
-    def only_ghost(self, padded: np.ndarray, mu: int, lead: int = 0) -> np.ndarray:
-        """Array with only dimension-mu ghost slabs kept (the input the
-        mu *exterior kernel* effectively sees)."""
-        return self.layout.only_ghost(padded, mu, lead)

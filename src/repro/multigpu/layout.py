@@ -155,23 +155,5 @@ class HaloLayout:
     def extract_interior(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
         return np.ascontiguousarray(padded[self.interior_slices(lead)])
 
-    def zero_ghosts(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
-        """Copy of a padded array with every ghost slab zeroed (the input
-        the *interior kernel* effectively sees)."""
-        out = padded.copy()
-        for mu in self.partitioned_dims:
-            for side in (+1, -1):
-                out[self.ghost_slices(mu, side, lead)] = 0
-        return out
-
-    def only_ghost(self, padded: np.ndarray, mu: int, lead: int = 0) -> np.ndarray:
-        """Array with only dimension-mu ghost slabs kept (the input the
-        mu *exterior kernel* effectively sees)."""
-        out = np.zeros_like(padded)
-        for side in (+1, -1):
-            sl = self.ghost_slices(mu, side, lead)
-            out[sl] = padded[sl]
-        return out
-
 
 __all__ = ["HaloLayout", "halo_logical_nbytes", "local_boundary"]

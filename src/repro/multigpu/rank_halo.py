@@ -284,15 +284,29 @@ class RankHaloEngine:
         """Gauge/link-field exchange — done once per solve (Sec. 6.1)."""
         return self.exchange(links, lead=1, kind="gauge", apply_boundary=False)
 
-    # -- padded-array helpers (delegate to the shared layout) -------------
+    # -- padded-array helpers ---------------------------------------------
     def extract_interior(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
         return self.layout.extract_interior(padded, lead)
 
+    # The split schedule no longer builds these full-volume copies (its
+    # interior kernel reads the unpadded field, its exterior kernels the
+    # ghost slabs); they stay only because perfbench/layers.py wraps
+    # them by name.
     def zero_ghosts(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
-        return self.layout.zero_ghosts(padded, lead)
+        """Copy of a padded array with every ghost slab zeroed."""
+        out = padded.copy()
+        for mu in self.partitioned_dims:
+            for side in (+1, -1):
+                out[self.layout.ghost_slices(mu, side, lead)] = 0
+        return out
 
     def only_ghost(self, padded: np.ndarray, mu: int, lead: int = 0) -> np.ndarray:
-        return self.layout.only_ghost(padded, mu, lead)
+        """Array holding only the dimension-mu ghost slabs."""
+        out = np.zeros_like(padded)
+        for side in (+1, -1):
+            sl = self.layout.ghost_slices(mu, side, lead)
+            out[sl] = padded[sl]
+        return out
 
 
 class PendingExchange:

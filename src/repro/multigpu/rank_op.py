@@ -1,18 +1,25 @@
 """Rank-local Dirac operator application: the SPMD compute kernels.
 
 One rank's share of a distributed operator application is: halo-exchange
-the rank's spinor block, run the stencil on the padded array, extract
-the interior.  This module holds that per-rank logic once, in two
-forms:
+the rank's spinor block, then run the stencil.  This module holds that
+per-rank logic once, in two forms:
 
-* the *kernel functions* (:func:`fused_apply`, :func:`split_apply`) —
-  one rank's stencil body on an already-exchanged padded array, with the
-  trace spans of Sec. 6.2 (``fused_stencil`` or ``interior_kernel`` +
-  per-dimension ``exterior_*``).  The global-view
-  :class:`~repro.multigpu.ddop.DistributedOperator` loops these over all
-  ranks; SPMD rank programs call them for their own rank only.
+* the *kernel functions* — one rank's stencil body, with the trace spans
+  of Sec. 6.2.  :func:`fused_apply` runs one stencil over the padded
+  array (``fused_stencil``).  The split schedule is the paper's
+  decomposition: :func:`interior_kernel` runs the rank's Dirichlet-cut
+  block operator on the unpadded local field (``interior_kernel``), and
+  :func:`exterior_kernel` adds, per partitioned dimension, the hops from
+  that dimension's ghost slabs onto the faces they border
+  (``exterior_*``) — O(surface) work.  :func:`split_apply` runs them
+  after a blocking exchange, :func:`split_apply_overlapped` with the
+  exchange in flight behind the interior kernel (Fig. 4).  The
+  global-view :class:`~repro.multigpu.ddop.DistributedOperator` loops
+  these over all ranks; SPMD rank programs call them for their own rank
+  only.
 * :class:`RankOperator` — a rank program's local operator endpoint: it
-  owns the rank's padded local stencil and halo engine and exposes
+  owns the rank's padded local stencil, its block operator (which is
+  also the rank's Schwarz block) and its halo engine, and exposes
   ``apply``/``apply_dagger`` on rank-local (unpadded) fields, the
   per-rank mirror of ``DistributedOperator.apply``.
 
@@ -39,7 +46,7 @@ from repro.dirac.staggered import NaiveStaggeredOperator
 from repro.dirac.wilson import WilsonCloverOperator
 from repro.lattice.fields import GaugeField
 from repro.lattice.geometry import DIR_NAMES
-from repro.multigpu.layout import local_boundary
+from repro.multigpu.layout import HaloLayout, local_boundary
 from repro.multigpu.rank_halo import RankHaloEngine
 from repro.trace import span
 from repro.util.counters import record, record_operator
@@ -64,60 +71,85 @@ def fused_apply(
         return exch.extract_interior(applied, lead=lead)
 
 
-def split_apply(
-    op: LatticeOperator, exch, pad: np.ndarray, lead: int, rank: int
+def interior_kernel(
+    block_op: LatticeOperator, x: np.ndarray, rank: int
 ) -> np.ndarray:
-    """Interior/exterior kernel path (Sec. 6.2) for one rank.
+    """The interior kernel: the rank's Dirichlet-cut block operator on
+    its unpadded local field.
 
-    The interior kernel computes every contribution available without
-    ghost data (including the diagonal/clover terms); each partitioned
-    dimension's exterior kernel then adds the hopping contributions
-    sourced from that dimension's ghost zones.  Sites on corners receive
-    updates from several exterior kernels, reproducing the data
-    dependency the paper serializes the exterior kernels over.
+    Every contribution that needs no ghost data — the site-diagonal
+    (mass/clover) terms and all hops between block sites — over the
+    local block only.  A hop across a partitioned face reads zero under
+    the block's ``"zero"`` boundary, exactly as it reads a zeroed ghost
+    in the padded array, so the values are bitwise the padded
+    operator's on a zero-ghost copy.
     """
     with span("interior_kernel", kind="interior", rank=rank,
               stream="compute"):
-        interior_in = exch.zero_ghosts(pad, lead=lead)
-        out = exch.extract_interior(op._apply(interior_in), lead=lead)
-    for mu in exch.partitioned_dims:
-        with span(f"exterior_{DIR_NAMES[mu]}", kind="exterior",
-                  rank=rank, stream="compute", mu=mu):
-            ghost_in = exch.only_ghost(pad, mu, lead=lead)
-            out = out + exch.extract_interior(
-                op.apply_hopping(ghost_in), lead=lead
+        return block_op._apply(x)
+
+
+def exterior_kernel(
+    op: LatticeOperator, layout: HaloLayout, pad: np.ndarray,
+    out: np.ndarray, mu: int, lead: int, rank: int,
+) -> None:
+    """Dimension ``mu``'s exterior kernel: add to ``out`` the hops from
+    the mu ghost slabs of ``pad`` onto the faces they border.
+
+    ``op`` is the rank's padded operator; its ``ghost_hopping`` sees
+    only the two ghost slabs (extent = ghost depth along mu) and returns
+    the two face contributions, so the work is O(surface).  Sites on
+    corners receive updates from several exterior kernels, in the fixed
+    dimension order — the data dependency the paper serializes the
+    exterior kernels over.
+    """
+    with span(f"exterior_{DIR_NAMES[mu]}", kind="exterior", rank=rank,
+              stream="compute", mu=mu):
+        lo, hi = (
+            np.ascontiguousarray(pad[layout.ghost_slices(mu, side, lead)])
+            for side in (-1, +1)
+        )
+        hops = op.ghost_hopping(mu, lo, hi, layout.interior_slices())
+        for side, hop in zip((-1, +1), hops):
+            # Round to the field's precision before adding, as the full
+            # stencil's output does (staggered hops carry link precision).
+            out[layout.face_slices(mu, side, lead)] += hop.astype(
+                out.dtype, copy=False
             )
+
+
+def split_apply(
+    op: LatticeOperator, block_op: LatticeOperator, layout: HaloLayout,
+    x: np.ndarray, pad: np.ndarray, lead: int, rank: int,
+) -> np.ndarray:
+    """Interior/exterior kernel path (Sec. 6.2) for one rank: the
+    interior kernel on the local field ``x``, then each partitioned
+    dimension's exterior kernel on the exchanged padded array ``pad``."""
+    out = interior_kernel(block_op, x, rank)
+    for mu in layout.partitioned_dims:
+        exterior_kernel(op, layout, pad, out, mu, lead, rank)
     return out
 
 
 def split_apply_overlapped(
-    op: LatticeOperator, engine: RankHaloEngine, x: np.ndarray, lead: int,
-    rank: int,
+    op: LatticeOperator, block_op: LatticeOperator, engine: RankHaloEngine,
+    x: np.ndarray, lead: int, rank: int,
 ) -> np.ndarray:
     """The overlapped interior/exterior schedule of Fig. 4, live.
 
     Starts the halo exchange (pre-posted receives, eager sends), runs the
     interior kernel while faces are in flight, then drains each
     partitioned dimension and applies its exterior kernel.  Bit-identical
-    to exchange-then-:func:`split_apply`: the interior kernel reads a
-    zero-ghost *copy* of the padded array, face scatters land in disjoint
-    ghost slabs, and the exterior contributions are summed in the same
-    fixed dimension order.
+    to exchange-then-:func:`split_apply`: the interior kernel reads only
+    the local field, face scatters land in disjoint ghost slabs, and the
+    exterior contributions are added in the same fixed dimension order.
     """
     pending = engine.begin_exchange(x, lead=lead, kind="spinor")
-    pad = pending.padded
-    with span("interior_kernel", kind="interior", rank=rank,
-              stream="compute"):
-        interior_in = engine.zero_ghosts(pad, lead=lead)
-        out = engine.extract_interior(op._apply(interior_in), lead=lead)
+    out = interior_kernel(block_op, x, rank)
     for mu in engine.partitioned_dims:
         pending.complete_dim(mu)
-        with span(f"exterior_{DIR_NAMES[mu]}", kind="exterior",
-                  rank=rank, stream="compute", mu=mu):
-            ghost_in = engine.only_ghost(pad, mu, lead=lead)
-            out = out + engine.extract_interior(
-                op.apply_hopping(ghost_in), lead=lead
-            )
+        exterior_kernel(op, engine.layout, pending.padded, out, mu, lead,
+                        rank)
     return out
 
 
@@ -175,6 +207,12 @@ class RankOperator:
     ):
         self.engine = engine
         self.local_op = local_op
+        # The interior kernel's operator, which is also the rank's
+        # Schwarz block: the padded operator restricted to the local
+        # block and cut at its partitioned faces.
+        self.block_op = local_op.restrict(
+            engine.layout.interior_slices(), engine.partitioned_dims
+        )
         self.name = name
         self.flops_per_site = flops_per_site
         self.nspin = nspin
@@ -215,11 +253,14 @@ class RankOperator:
         self._record(batch=x.shape[0] if lead else 1)
         if self.overlap:
             return split_apply_overlapped(
-                self.local_op, self.engine, x, lead, self.rank
+                self.local_op, self.block_op, self.engine, x, lead, self.rank
             )
         pad = self.engine.exchange_spinor(x, lead=lead)
         if self.schedule == "split":
-            return split_apply(self.local_op, self.engine, pad, lead, self.rank)
+            return split_apply(
+                self.local_op, self.block_op, self.engine.layout, x, pad,
+                lead, self.rank,
+            )
         return fused_apply(self.local_op, self.engine, pad, lead, self.rank)
 
     def apply_dagger(self, x: np.ndarray) -> np.ndarray:
@@ -311,7 +352,9 @@ def rank_naive_staggered(
 
 __all__ = [
     "RankOperator",
+    "exterior_kernel",
     "fused_apply",
+    "interior_kernel",
     "rank_naive_staggered",
     "rank_wilson_clover",
     "split_apply",

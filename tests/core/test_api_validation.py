@@ -115,6 +115,15 @@ class TestFieldNamedErrors:
             validate_request(request(base, method="gcr-dd"))
         assert str(exc.value).startswith("SolveRequest.grid:")
 
+    def test_grid_as_plain_tuple_names_process_grid(self, base):
+        with pytest.raises(ValueError, match="ProcessGrid") as exc:
+            validate_request(
+                request(base, method="gcr-dd", grid=(1, 1, 2, 2))
+            )
+        msg = str(exc.value)
+        assert msg.startswith("SolveRequest.grid:")
+        assert "tuple" in msg
+
     def test_multishift_without_shifts(self, base):
         with pytest.raises(ValueError, match="needs shifts") as exc:
             validate_request(request(base, operator="asqtad_multishift"))
